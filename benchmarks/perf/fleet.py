@@ -44,6 +44,7 @@ from repro.runtime.fleet import (
     FleetCoordinator,
     bootstrap_fleet,
 )
+from repro.runtime.service import ServiceConfig
 
 
 @dataclass(frozen=True)
@@ -200,8 +201,11 @@ def bench_kill_drill(scale: FleetScale, root: pathlib.Path) -> Dict:
     baseline_cfg = FleetConfig(
         data_dir=root / "drill-baseline",
         shards=scale.drill_shards,
-        checkpoint_every=scale.drill_checkpoint_every,
         scores_out=str(root / "drill-baseline.csv"),
+        service=ServiceConfig(
+            data_dir=root / "drill-baseline",
+            checkpoint_every=scale.drill_checkpoint_every,
+        ),
     )
     bootstrap_fleet(baseline_cfg, detector, float("inf"))
     with telemetry.use(telemetry.MetricsRegistry()):
@@ -218,8 +222,11 @@ def bench_kill_drill(scale: FleetScale, root: pathlib.Path) -> Dict:
     drill_cfg = FleetConfig(
         data_dir=root / "drill-crash",
         shards=scale.drill_shards,
-        checkpoint_every=scale.drill_checkpoint_every,
         scores_out=str(root / "drill-crash.csv"),
+        service=ServiceConfig(
+            data_dir=root / "drill-crash",
+            checkpoint_every=scale.drill_checkpoint_every,
+        ),
         kill_shard=victim,
         kill_after_ticks=scale.drill_kill_after,
     )

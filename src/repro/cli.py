@@ -47,7 +47,7 @@ from repro.logs.message import (
 )
 from repro.logs.persistence import store_from_json, store_to_json
 from repro.logs.templates import TemplateStore
-from repro.rca import DEFAULT_CLUSTER_GAP, RcaEngine, incident_row
+from repro.rca import DEFAULT_CLUSTER_GAP, incident_row
 from repro.runtime.fleet import (
     FleetConfig,
     FleetCoordinator,
@@ -55,13 +55,15 @@ from repro.runtime.fleet import (
     fleet_has_state,
     load_ring,
 )
-from repro.runtime.adapt import AdaptConfig, AdaptationController
+from repro.runtime.adapt import AdaptConfig
 from repro.runtime.service import (
-    FAULT_AFTER_WAL_APPEND,
     AdaptiveTicker,
     MonitorService,
     ServiceConfig,
+    ServiceError,
+    SimulatedCrash,
     TickResult,
+    kill_hook,
     stage_release,
 )
 from repro.runtime.store import ArtifactStore, StoreError
@@ -75,11 +77,7 @@ from repro.synthesis import (
 )
 from repro.tickets.ticket import RootCause, TroubleTicket
 from repro.timeutil import DAY, MONTH, WEEK
-from repro.topology import (
-    FleetTopology,
-    TopologyConfig,
-    TopologyError,
-)
+from repro.topology import TopologyConfig, TopologyError
 
 
 # -- trace I/O ------------------------------------------------------------
@@ -396,10 +394,6 @@ def cmd_report(args: argparse.Namespace) -> int:
 # -- serve ----------------------------------------------------------------
 
 
-class _SimulatedCrash(Exception):
-    """Raised by the ``--kill-after-ticks`` fault hook (exit code 3)."""
-
-
 def _drain_incidents(
     service: MonitorService, handle: Optional[TextIO]
 ) -> int:
@@ -503,21 +497,56 @@ def cmd_serve(args: argparse.Namespace) -> int:
     replays unacknowledged WAL ticks before resuming the feed.  With
     ``--shards N`` (N > 1) the same feed runs through the sharded
     fleet runtime instead: one worker process per shard, routed by the
-    consistent-hash ring.  Exit codes: 0 on success, 2 on operator
+    consistent-hash ring, each opening its service from the same
+    :class:`ServiceConfig`.  Exit codes: 0 on success, 2 on operator
     error, 3 when a crash was simulated (``--kill-after-ticks``, or
     ``--kill-shard K --after-ticks T`` in fleet mode).
     """
+    try:
+        config = _service_config(args)
+    except ValueError as error:
+        print(str(error), file=sys.stderr)
+        return 2
     registry = telemetry.MetricsRegistry()
     with telemetry.use(registry):
         if args.shards > 1:
-            exit_code = _run_fleet_serve(args, registry)
+            exit_code = _run_fleet_serve(args, config, registry)
         else:
-            exit_code = _run_serve(args, registry)
+            exit_code = _run_serve(args, config, registry)
     return exit_code
 
 
+def _service_config(args: argparse.Namespace) -> ServiceConfig:
+    """The one per-service config the ``serve`` flags describe."""
+    adapt = None
+    if args.auto_adapt:
+        adapt = AdaptConfig(
+            drift_threshold=args.drift_threshold,
+            drift_checks=args.drift_checks,
+            replay_ticks=args.adapt_replay_ticks,
+            probation_ticks=args.probation_ticks,
+            rollback_ratio=args.rollback_ratio,
+            epochs=args.adapt_epochs,
+            cooldown_ticks=args.adapt_cooldown_ticks,
+            inline=args.adapt_inline,
+            poison=args.adapt_poison,
+        )
+    return ServiceConfig(
+        data_dir=args.data_dir,
+        checkpoint_every=args.checkpoint_every,
+        keep_releases=args.keep_releases,
+        quantized=args.quantized,
+        rca=args.rca,
+        topology_path=args.topology,
+        rca_gap=args.rca_gap,
+        adapt=adapt,
+    )
+
+
 def _run_fleet_serve(
-    args: argparse.Namespace, registry: "telemetry.MetricsRegistry"
+    args: argparse.Namespace,
+    service_config: ServiceConfig,
+    registry: "telemetry.MetricsRegistry",
 ) -> int:
     """The ``serve --shards N`` workflow over the fleet coordinator."""
     if args.auto_adapt:
@@ -548,20 +577,23 @@ def _run_fleet_serve(
             file=sys.stderr,
         )
         return 2
+    try:
+        # Every worker loads the topology itself; reading it once here
+        # turns a bad path into one clean error before any shard is
+        # bootstrapped or spawned.
+        service_config.rca_topology()
+    except TopologyError as error:
+        print(str(error), file=sys.stderr)
+        return 2
     config = FleetConfig(
         data_dir=args.data_dir,
         shards=args.shards,
-        checkpoint_every=args.checkpoint_every,
-        keep_releases=args.keep_releases,
-        quantized=args.quantized,
         scores_out=args.scores_out,
         warnings_out=args.warnings_out,
+        incidents_out=args.incidents_out,
         kill_shard=args.kill_shard,
         kill_after_ticks=args.after_ticks,
-        rca=args.rca,
-        topology_path=args.topology,
-        rca_gap=args.rca_gap,
-        incidents_out=args.incidents_out,
+        service=service_config,
     )
     try:
         ring = load_ring(config)
@@ -571,7 +603,7 @@ def _run_fleet_serve(
     for shard in ring.shards:
         store = ArtifactStore(
             config.shard_config(shard).store_dir,
-            keep_releases=config.keep_releases,
+            keep_releases=service_config.keep_releases,
         )
         if store.current_id() is not None:
             continue
@@ -678,7 +710,7 @@ def _run_rollback(
             service.recover()
         release_id = service.rollback()
         completed = True
-    except StoreError as error:
+    except (ServiceError, StoreError) as error:
         print(str(error), file=sys.stderr)
         return 2
     finally:
@@ -686,46 +718,19 @@ def _run_rollback(
             # Full close: the landed rollback gets its checkpoint.
             service.close()
         else:
-            # The swap did not land; skip the checkpoint and just
-            # surrender the files so the next attempt can lock them.
-            try:
-                service.wal.close()
-            finally:
-                service.lock.release()
+            # The swap did not land; skip the checkpoint so the next
+            # attempt finds the state as it was.
+            service.abandon()
     print(f"rolled back to release {release_id}")
     return 0
 
 
-def _build_controller(
-    args: argparse.Namespace,
-) -> Optional[AdaptationController]:
-    """The ``--auto-adapt`` controller for a serve run (or None)."""
-    if not args.auto_adapt:
-        return None
-    adapt_config = AdaptConfig(
-        drift_threshold=args.drift_threshold,
-        drift_checks=args.drift_checks,
-        replay_ticks=args.adapt_replay_ticks,
-        probation_ticks=args.probation_ticks,
-        rollback_ratio=args.rollback_ratio,
-        epochs=args.adapt_epochs,
-        cooldown_ticks=args.adapt_cooldown_ticks,
-        inline=args.adapt_inline,
-        poison=args.adapt_poison,
-    )
-    return AdaptationController(adapt_config)
-
-
 def _run_serve(
-    args: argparse.Namespace, registry: "telemetry.MetricsRegistry"
+    args: argparse.Namespace,
+    config: ServiceConfig,
+    registry: "telemetry.MetricsRegistry",
 ) -> int:
-    """The serve workflow, under a run-scoped metrics registry."""
-    config = ServiceConfig(
-        data_dir=args.data_dir,
-        checkpoint_every=args.checkpoint_every,
-        keep_releases=args.keep_releases,
-        quantized=args.quantized,
-    )
+    """The single-shard serve workflow, under a run-scoped registry."""
     store = ArtifactStore(
         config.store_dir, keep_releases=config.keep_releases
     )
@@ -742,27 +747,14 @@ def _run_serve(
         detector = _load_detector(pathlib.Path(args.model))
         release = stage_release(store, detector, args.threshold)
         print(f"published release {release.release_id}")
-    rca_topology: Optional[FleetTopology] = None
-    if args.rca and args.topology:
-        try:
-            rca_topology = FleetTopology.load(args.topology)
-        except TopologyError as error:
-            print(str(error), file=sys.stderr)
-            return 2
     # Deliberately not closed on the simulated-crash path below: the
     # WAL tail must stay un-truncated so the next run recovers from
     # the journal exactly like a real crash.
-    service = MonitorService.open(config)  # repro: noqa[RPR601]
-    # Attach the adaptation controller before any recovery so WAL
-    # replay rebuilds its drift windows and probation state.
-    service.controller = _build_controller(args)
-    if args.rca:
-        # Attached before recovery for the same reason: checkpointed
-        # open incidents restore, then replayed ticks rebuild the
-        # identical incident stream.
-        service.rca = RcaEngine(
-            topology=rca_topology, cluster_gap=args.rca_gap
-        )
+    try:
+        service = MonitorService.open(config)  # repro: noqa[RPR601]
+    except TopologyError as error:
+        print(str(error), file=sys.stderr)
+        return 2
     has_state = (
         config.checkpoint_path.exists()
         or service.wal.last_sequence > 0
@@ -773,25 +765,11 @@ def _run_serve(
             "--replay to recover it (refusing to ingest blind)",
             file=sys.stderr,
         )
-        # Surrender the journal handle and owner lock without the
-        # checkpoint a full close() would write over the state we
-        # just refused to touch.
-        try:
-            service.wal.close()
-        finally:
-            service.lock.release()
+        # No checkpoint over the state we just refused to touch.
+        service.abandon()
         return 2
     if args.kill_after_ticks is not None:
-        survived = {"ticks": 0}
-
-        def _kill(point: str, sequence: int) -> None:
-            if point != FAULT_AFTER_WAL_APPEND:
-                return
-            survived["ticks"] += 1
-            if survived["ticks"] >= args.kill_after_ticks:
-                raise _SimulatedCrash(sequence)
-
-        service.fault_hook = _kill
+        service.fault_hook = kill_hook(args.kill_after_ticks)
     writer = _TickWriter(args.scores_out, args.warnings_out)
     incidents_handle: Optional[TextIO] = None
     if args.rca and args.incidents_out:
@@ -800,7 +778,14 @@ def _run_serve(
     n_live = n_warnings = n_incidents = 0
     try:
         if args.replay:
-            report = service.recover()
+            try:
+                report = service.recover()
+            except ServiceError as error:
+                # A journal this build cannot replay: surrender the
+                # files untouched, like the blind-restart refusal.
+                print(str(error), file=sys.stderr)
+                service.abandon()
+                return 2
             writer.write(report.results)
             n_warnings += sum(
                 len(r.warnings) for r in report.results
@@ -847,7 +832,7 @@ def _run_serve(
                 f"adaptation: {service.controller.swaps} swap(s), "
                 f"{service.controller.rollbacks} rollback(s) this run"
             )
-    except _SimulatedCrash as crash:
+    except SimulatedCrash as crash:
         # Simulated kill: no close(), no final checkpoint — the next
         # run must recover from the WAL exactly like a real crash.
         print(

@@ -42,10 +42,12 @@ WORKER_ENTRYPOINTS: Tuple[str, ...] = (
 )
 
 #: Project classes allowed across multiprocessing pipes / spawn args.
-#: ``_WorkerSpec`` is a frozen dataclass of primitives: it pickles
-#: bit-stably and carries no handles, so shipping it to a worker is
-#: the designed hand-off, not a leak of live state.
-PIPE_SAFE_CLASSES: Tuple[str, ...] = ("_WorkerSpec",)
+#: ``FleetConfig`` (with its nested ``ServiceConfig``) is a frozen
+#: dataclass of primitives and paths: it pickles bit-stably and
+#: carries no handles, so shipping it to a shard worker — which
+#: derives its service config and sink paths from it — is the designed
+#: hand-off, not a leak of live state.
+PIPE_SAFE_CLASSES: Tuple[str, ...] = ("FleetConfig",)
 
 #: Resource classes tracked by the RPR6xx lifecycle checks, mapped to
 #: the method(s) that release them.  ``open`` is the builtin file

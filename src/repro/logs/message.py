@@ -122,9 +122,9 @@ def message_to_dict(message: SyslogMessage) -> dict:
     """A JSON-ready dict for one message (trace files).
 
     The key set matches the ``trace/<vpe>.jsonl`` line format written
-    by the CLI.  The runtime WAL uses the positional
-    :func:`message_to_row` codec instead, which trades self-describing
-    keys for encode speed on the ingest hot path.
+    by the CLI.  State that stores many messages (the adaptation
+    controller's replay window) uses the positional
+    :func:`message_to_row` form instead.
     """
     return {
         "ts": message.timestamp,
@@ -171,9 +171,11 @@ def message_columns(
 def message_to_row(message: SyslogMessage) -> list:
     """A positional ``[ts, host, proc, sev, fac, text]`` JSON row.
 
-    The runtime WAL journals every ingested tick, so its codec sits on
-    the hot path; positional rows encode ~40% faster and ~30% smaller
-    than the keyed :func:`message_to_dict` form used by trace files.
+    The adaptation controller keeps its replay window of recent ticks
+    in this form, so the window rides the checkpoint as plain JSON;
+    positional rows are ~30% smaller than the keyed
+    :func:`message_to_dict` form used by trace files.  (The WAL
+    journals ticks through the binary :mod:`repro.runtime.codec`.)
     """
     return [
         message.timestamp,

@@ -25,8 +25,9 @@ from repro.nn.optimizers import Optimizer, ParamTriple
 
 #: Version of the ``.npz`` weight archive layout written by
 #: :meth:`Sequential.save`.  Version 1 added the ``__repro_format__``
-#: and ``__repro_dtype__`` metadata entries; archives without them are
-#: legacy (pre-versioning) files and stay loadable.
+#: and ``__repro_dtype__`` metadata entries; :meth:`Sequential.load`
+#: rejects archives without them (pre-versioning files must be
+#: re-saved).
 WEIGHTS_FORMAT_VERSION = 1
 
 #: Metadata keys embedded in the archive alongside the weights.
@@ -356,44 +357,46 @@ class Sequential:
     def load(self, path: str, allow_cast: bool = False) -> None:
         """Load weights from an ``.npz`` file written by :meth:`save`.
 
-        Versioned archives (format tag present) are validated: an
-        unknown format version is rejected, and a dtype tag that does
-        not match the model's precision is rejected unless
-        ``allow_cast=True`` opts into the lossy cast.  Legacy archives
-        without tags load exactly as before (weights cast into the
-        model's dtype).
+        The archive must carry the format tag (untagged,
+        pre-versioning files are rejected), an unknown format version
+        is rejected, and a dtype tag that does not match the model's
+        precision is rejected unless ``allow_cast=True`` opts into the
+        lossy cast.
         """
         with np.load(path) as archive:
             weights = {key: archive[key] for key in archive.files}
         version_tag = weights.pop(_FORMAT_KEY, None)
         dtype_tag = weights.pop(_DTYPE_KEY, None)
-        if version_tag is not None:
-            version = int(version_tag)
-            if version != WEIGHTS_FORMAT_VERSION:
+        version = None if version_tag is None else int(version_tag)
+        if version != WEIGHTS_FORMAT_VERSION:
+            found = (
+                "has no format version tag"
+                if version is None
+                else f"format version {version} is not supported"
+            )
+            raise ValueError(
+                f"{path}: weight archive {found} (this build reads "
+                f"{WEIGHTS_FORMAT_VERSION}); re-save the model with a "
+                "matching version of repro"
+            )
+        if dtype_tag is not None and str(dtype_tag) == "int8":
+            if not allow_cast:
                 raise ValueError(
-                    f"{path}: weight archive format version {version} "
-                    "is not supported by this build (supports "
-                    f"{WEIGHTS_FORMAT_VERSION}); re-save the model "
-                    "with a matching version of repro"
+                    f"{path}: archive holds int8-quantized weights "
+                    "(lossy); pass allow_cast=True to dequantize "
+                    "into this model explicitly"
                 )
-            if dtype_tag is not None and str(dtype_tag) == "int8":
-                if not allow_cast:
-                    raise ValueError(
-                        f"{path}: archive holds int8-quantized weights "
-                        "(lossy); pass allow_cast=True to dequantize "
-                        "into this model explicitly"
-                    )
-                from repro.nn.quant import dequantize_weights
+            from repro.nn.quant import dequantize_weights
 
-                self.set_weights(dequantize_weights(weights))
-                return
-            if dtype_tag is not None:
-                saved_dtype = np.dtype(str(dtype_tag))
-                if saved_dtype != self.dtype and not allow_cast:
-                    raise ValueError(
-                        f"{path}: archive holds {saved_dtype} weights "
-                        f"but the model is {self.dtype}; rebuild the "
-                        f"model with dtype={saved_dtype} or pass "
-                        "allow_cast=True to cast explicitly"
-                    )
+            self.set_weights(dequantize_weights(weights))
+            return
+        if dtype_tag is not None:
+            saved_dtype = np.dtype(str(dtype_tag))
+            if saved_dtype != self.dtype and not allow_cast:
+                raise ValueError(
+                    f"{path}: archive holds {saved_dtype} weights "
+                    f"but the model is {self.dtype}; rebuild the "
+                    f"model with dtype={saved_dtype} or pass "
+                    "allow_cast=True to cast explicitly"
+                )
         self.set_weights(weights)

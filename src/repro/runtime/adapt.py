@@ -253,9 +253,9 @@ def _fine_tune_worker(
 class AdaptationController:
     """The in-service drift→fine-tune→swap→probation state machine.
 
-    Attach one to a :class:`~repro.runtime.service.MonitorService`
-    (``service.controller = controller``) before recovery; the service
-    then calls :meth:`before_tick` at every live tick boundary,
+    :meth:`MonitorService.open
+    <repro.runtime.service.MonitorService.open>` builds one from
+    ``ServiceConfig.adapt`` before recovery; the service then calls :meth:`before_tick` at every live tick boundary,
     :meth:`after_tick` after every scored tick (live and replayed
     alike) and :meth:`on_swap_applied` whenever a journaled swap is
     applied.  All tick-stream-dependent transitions happen in

@@ -36,6 +36,7 @@ acknowledged message cursor — no message is dropped or scored twice.
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import multiprocessing
 import pathlib
@@ -49,25 +50,19 @@ from repro import telemetry
 from repro.core.detector import LSTMAnomalyDetector
 from repro.core.online import AdaptiveTicker
 from repro.logs.message import SyslogMessage
-from repro.rca import (
-    DEFAULT_CLUSTER_GAP,
-    IncidentReport,
-    RcaEngine,
-    incident_row,
-)
+from repro.rca import IncidentReport, incident_row
 from repro.runtime.codec import TICK_MAGIC, TickEncoder, decode_tick
 from repro.runtime.lock import LOCK_FILENAME, OwnerLock
 from repro.runtime.ring import DEFAULT_REPLICAS, HashRing
 from repro.runtime.service import (
-    FAULT_AFTER_WAL_APPEND,
     MonitorService,
     ServiceConfig,
+    SimulatedCrash,
     TickResult,
+    kill_hook,
     stage_release,
 )
 from repro.runtime.store import ArtifactStore, Release
-from repro.runtime.wal import DEFAULT_SEGMENT_BYTES
-from repro.topology import FleetTopology
 
 #: Leading byte of a binary tick frame on the pipe (same dispatch as
 #: the WAL: everything else is a JSON control/ack frame leading '{').
@@ -83,13 +78,9 @@ class FleetError(RuntimeError):
     """Raised for invalid fleet operations or a wedged worker."""
 
 
-class _ShardCrash(Exception):
-    """Raised inside a worker by the ``kill_after_ticks`` drill hook."""
-
-
 @dataclass(frozen=True)
 class FleetConfig:
-    """Topology and durability knobs for one fleet.
+    """Topology, sink and drill knobs for one fleet.
 
     Attributes:
         data_dir: fleet state root; holds ``ring.jsonl``, the
@@ -98,12 +89,6 @@ class FleetConfig:
         shards: initial shard count (ignored when ``ring.jsonl``
             already records a membership).
         replicas: virtual nodes per shard on the hash ring.
-        checkpoint_every: per-shard checkpoint cadence in ticks.
-        keep_releases: per-shard artifact-store retention depth.
-        segment_bytes: per-shard WAL segment-rotation threshold.
-        fsync: fsync every WAL append in every worker.
-        strict_order: per-shard out-of-order policy.
-        quantized: score through int8 inference in every worker.
         max_inflight: unacknowledged ticks allowed per shard — the
             backpressure window; 1 degenerates to lock-step.
         poll_timeout: seconds to wait on worker replies before the
@@ -111,38 +96,31 @@ class FleetConfig:
         scores_out: base path for per-shard score CSVs (worker ``k``
             appends to ``<scores_out>.shardKK``); ``None`` disables.
         warnings_out: base path for per-shard warning CSVs.
+        incidents_out: base path for per-shard closed-incident CSVs.
         kill_shard: shard id to crash for the kill drill.
         kill_after_ticks: crash ``kill_shard`` after this many
             journaled ticks (both must be set together).
-        rca: attach a streaming root-cause engine to every worker's
-            service; per-shard incidents close over the shard's own
-            devices, and the ``rca.*`` registries fold into the
-            coordinator's fleet snapshot on close.
-        topology_path: fleet topology JSON every worker loads for
-            incident clustering/attribution (``None``: per-device).
-        rca_gap: quiet stream seconds that close an incident.
-        incidents_out: base path for per-shard closed-incident CSVs.
+        service: the settings every shard's service opens with (see
+            :meth:`shard_config`); its ``data_dir`` must be the
+            fleet's.  Defaults to ``ServiceConfig(data_dir=data_dir)``.
+            With ``rca`` set, per-shard incidents close over the
+            shard's own devices and the ``rca.*`` registries fold into
+            the coordinator's fleet snapshot on close.  Drift
+            adaptation (``adapt``) is a single-service loop and is
+            rejected here.
     """
 
     data_dir: Union[str, pathlib.Path]
     shards: int = 2
     replicas: int = DEFAULT_REPLICAS
-    checkpoint_every: int = 16
-    keep_releases: int = 3
-    segment_bytes: int = DEFAULT_SEGMENT_BYTES
-    fsync: bool = False
-    strict_order: bool = False
-    quantized: bool = False
     max_inflight: int = 4
     poll_timeout: float = 60.0
     scores_out: Optional[str] = None
     warnings_out: Optional[str] = None
+    incidents_out: Optional[str] = None
     kill_shard: Optional[int] = None
     kill_after_ticks: Optional[int] = None
-    rca: bool = False
-    topology_path: Optional[str] = None
-    rca_gap: float = DEFAULT_CLUSTER_GAP
-    incidents_out: Optional[str] = None
+    service: Optional[ServiceConfig] = None
 
     def __post_init__(self) -> None:
         if self.shards < 1:
@@ -152,6 +130,22 @@ class FleetConfig:
         if (self.kill_shard is None) != (self.kill_after_ticks is None):
             raise ValueError(
                 "kill_shard and kill_after_ticks go together"
+            )
+        if self.service is None:
+            object.__setattr__(
+                self, "service", ServiceConfig(data_dir=self.data_dir)
+            )
+        elif pathlib.Path(self.service.data_dir) != pathlib.Path(
+            self.data_dir
+        ):
+            raise ValueError(
+                f"service.data_dir {self.service.data_dir} is not the "
+                f"fleet data_dir {self.data_dir}"
+            )
+        if self.service.adapt is not None:
+            raise ValueError(
+                "drift adaptation is a single-service loop; fleet "
+                "shards run without service.adapt"
             )
 
     @property
@@ -170,14 +164,8 @@ class FleetConfig:
 
     def shard_config(self, shard: int) -> ServiceConfig:
         """The :class:`ServiceConfig` for shard ``shard``'s worker."""
-        return ServiceConfig(
-            data_dir=self.shard_dir(shard),
-            checkpoint_every=self.checkpoint_every,
-            keep_releases=self.keep_releases,
-            segment_bytes=self.segment_bytes,
-            fsync=self.fsync,
-            strict_order=self.strict_order,
-            quantized=self.quantized,
+        return dataclasses.replace(
+            self.service, data_dir=self.shard_dir(shard)
         )
 
     def shard_scores_path(self, shard: int) -> Optional[str]:
@@ -337,36 +325,16 @@ def bootstrap_fleet(
     ring = load_ring(config)
     releases = []
     for shard in ring.shards:
+        shard_config = config.shard_config(shard)
         store = ArtifactStore(
-            config.shard_config(shard).store_dir,
-            keep_releases=config.keep_releases,
+            shard_config.store_dir,
+            keep_releases=shard_config.keep_releases,
         )
         releases.append(stage_release(store, detector, threshold))
     return releases
 
 
 # -- the worker process ---------------------------------------------------
-
-
-@dataclass(frozen=True)
-class _WorkerSpec:
-    """Everything a worker process needs, in picklable primitives."""
-
-    shard: int
-    data_dir: str
-    checkpoint_every: int
-    keep_releases: int
-    segment_bytes: int
-    fsync: bool
-    strict_order: bool
-    quantized: bool
-    scores_path: Optional[str]
-    warnings_path: Optional[str]
-    kill_after_ticks: Optional[int]
-    rca: bool = False
-    topology_path: Optional[str] = None
-    rca_gap: float = DEFAULT_CLUSTER_GAP
-    incidents_path: Optional[str] = None
 
 
 class _ShardTickWriter:
@@ -448,7 +416,8 @@ class _ShardTickWriter:
 
 
 def _worker_loop(
-    spec: _WorkerSpec,
+    config: FleetConfig,
+    shard: int,
     conn: "connection.Connection",
     registry: "telemetry.MetricsRegistry",
 ) -> int:
@@ -457,44 +426,15 @@ def _worker_loop(
     # must stay on disk un-truncated so the respawned worker replays
     # it bit-for-bit.  Only the "close" control frame closes cleanly.
     service = MonitorService.open(  # repro: noqa[RPR601]
-        ServiceConfig(
-            data_dir=spec.data_dir,
-            checkpoint_every=spec.checkpoint_every,
-            keep_releases=spec.keep_releases,
-            segment_bytes=spec.segment_bytes,
-            fsync=spec.fsync,
-            strict_order=spec.strict_order,
-            quantized=spec.quantized,
-        )
+        config.shard_config(shard)
     )
-    if spec.rca:
-        topology = (
-            FleetTopology.load(spec.topology_path)
-            if spec.topology_path
-            else None
-        )
-        # Attached before recover(): checkpointed incidents restore
-        # and the replayed WAL tail rebuilds the identical per-shard
-        # incident stream.
-        service.rca = RcaEngine(
-            topology=topology, cluster_gap=spec.rca_gap
-        )
-    if spec.kill_after_ticks is not None:
-        survived = {"ticks": 0}
-
-        def _kill(point: str, sequence: int) -> None:
-            if point != FAULT_AFTER_WAL_APPEND:
-                return
-            survived["ticks"] += 1
-            if survived["ticks"] >= spec.kill_after_ticks:
-                raise _ShardCrash(sequence)
-
-        service.fault_hook = _kill
+    if shard == config.kill_shard:
+        service.fault_hook = kill_hook(config.kill_after_ticks)
     writer = _ShardTickWriter(
-        spec.shard,
-        spec.scores_path,
-        spec.warnings_path,
-        spec.incidents_path,
+        shard,
+        config.shard_scores_path(shard),
+        config.shard_warnings_path(shard),
+        config.shard_incidents_path(shard),
     )
 
     def _drain_incidents() -> int:
@@ -516,7 +456,7 @@ def _worker_loop(
             json.dumps(
                 {
                     "kind": "hello",
-                    "shard": spec.shard,
+                    "shard": shard,
                     "n_messages": service.n_messages,
                     "n_ticks": service.n_ticks,
                     "ticks_replayed": report.ticks_replayed,
@@ -535,7 +475,7 @@ def _worker_loop(
                     json.dumps(
                         {
                             "kind": "ack",
-                            "shard": spec.shard,
+                            "shard": shard,
                             "tick": result.tick,
                             "n_messages": service.n_messages,
                             "n_scored": len(result.scores),
@@ -555,7 +495,7 @@ def _worker_loop(
                     json.dumps(
                         {
                             "kind": "closed",
-                            "shard": spec.shard,
+                            "shard": shard,
                             "n_ticks": service.n_ticks,
                             "n_messages": service.n_messages,
                             "telemetry": registry.snapshot(),
@@ -565,10 +505,10 @@ def _worker_loop(
                 )
                 return 0
             raise FleetError(
-                f"shard {spec.shard}: unknown control frame "
+                f"shard {shard}: unknown control frame "
                 f"{control.get('kind')!r}"
             )
-    except _ShardCrash:
+    except SimulatedCrash:
         # Simulated kill: no close(), no final checkpoint — restart
         # must recover from the WAL exactly like a real crash.
         return 3
@@ -581,12 +521,17 @@ def _worker_loop(
 
 
 def _worker_main(
-    spec: _WorkerSpec, conn: "connection.Connection"
+    config: FleetConfig, shard: int, conn: "connection.Connection"
 ) -> None:
-    """Worker process entry point (top-level for spawn/fork)."""
+    """Worker process entry point (top-level for spawn/fork).
+
+    Shard ``shard`` serves under ``config.shard_config(shard)`` and
+    writes to the config's ``shard_*_path`` sinks; the kill drill is
+    armed when ``config.kill_shard`` names this shard.
+    """
     registry = telemetry.MetricsRegistry()
     with telemetry.use(registry):
-        exit_code = _worker_loop(spec, conn, registry)
+        exit_code = _worker_loop(config, shard, conn, registry)
     conn.close()
     sys.exit(exit_code)
 
@@ -674,32 +619,21 @@ class FleetCoordinator:
     def _spawn(
         self, shard: int, allow_kill: bool = True
     ) -> _ShardHandle:
-        """Start shard ``shard``'s worker process."""
-        kill_after = None
-        if allow_kill and shard == self.config.kill_shard:
-            kill_after = self.config.kill_after_ticks
-        spec = _WorkerSpec(
-            shard=shard,
-            data_dir=str(self.config.shard_dir(shard)),
-            checkpoint_every=self.config.checkpoint_every,
-            keep_releases=self.config.keep_releases,
-            segment_bytes=self.config.segment_bytes,
-            fsync=self.config.fsync,
-            strict_order=self.config.strict_order,
-            quantized=self.config.quantized,
-            scores_path=self.config.shard_scores_path(shard),
-            warnings_path=self.config.shard_warnings_path(shard),
-            kill_after_ticks=kill_after,
-            rca=self.config.rca,
-            topology_path=self.config.topology_path,
-            rca_gap=self.config.rca_gap,
-            incidents_path=self.config.shard_incidents_path(shard),
-        )
+        """Start shard ``shard``'s worker process.
+
+        Without ``allow_kill`` the worker gets the config with the kill
+        drill cleared.
+        """
+        config = self.config
+        if not allow_kill:
+            config = dataclasses.replace(
+                config, kill_shard=None, kill_after_ticks=None
+            )
         context = multiprocessing.get_context()
         parent_conn, child_conn = context.Pipe(duplex=True)
         process = context.Process(
             target=_worker_main,
-            args=(spec, child_conn),
+            args=(config, shard, child_conn),
             name=f"repro-shard-{shard:02d}",
             daemon=True,
         )

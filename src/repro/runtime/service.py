@@ -34,7 +34,6 @@ import json
 import pathlib
 from dataclasses import dataclass, field
 from typing import (
-    TYPE_CHECKING,
     Callable,
     Dict,
     Iterator,
@@ -54,12 +53,10 @@ from repro.core.online import (
     OnlineMonitor,
     WarningSignature,
 )
-from repro.logs.message import (
-    SyslogMessage,
-    message_from_row,
-    message_to_row,
-)
+from repro.logs.message import SyslogMessage
 from repro.logs.persistence import store_from_json, store_to_json
+from repro.rca import DEFAULT_CLUSTER_GAP, RcaEngine
+from repro.runtime.adapt import AdaptationController, AdaptConfig
 from repro.runtime.checkpoint import (
     read_checkpoint,
     write_checkpoint,
@@ -68,13 +65,10 @@ from repro.runtime.codec import TICK_MAGIC, TickEncoder, decode_tick
 from repro.runtime.lock import LOCK_FILENAME, OwnerLock
 from repro.runtime.store import ArtifactStore, Release
 from repro.runtime.wal import DEFAULT_SEGMENT_BYTES, WriteAheadLog
+from repro.topology import FleetTopology
 
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.rca import RcaEngine
-    from repro.runtime.adapt import AdaptationController
-
-#: Journal payload kinds: one ingested tick, or one model swap.
-_KIND_TICK = "tick"
+#: Journal payload kind of a model-swap control record (ticks are
+#: binary records; see :mod:`repro.runtime.codec`).
 _KIND_SWAP = "swap"
 
 #: Fault-injection points passed to :attr:`MonitorService.fault_hook`.
@@ -85,32 +79,48 @@ FAULT_BEFORE_CHECKPOINT = "before-checkpoint"
 _TICK_MAGIC_BYTE = bytes([TICK_MAGIC])
 
 
-def tick_payload(messages: "Sequence[SyslogMessage]") -> bytes:
-    """The *legacy* JSON journal payload for one ingested tick.
-
-    New ticks are journaled through the arena-backed binary codec
-    (:class:`repro.runtime.codec.TickEncoder`); this JSON form is kept
-    so journals written by earlier releases still replay, and as the
-    baseline the runtime benchmark compares the arena encoder against.
-    """
-    return json.dumps(
-        {
-            "kind": _KIND_TICK,
-            "messages": [
-                message_to_row(message) for message in messages
-            ],
-        },
-        separators=(",", ":"),
-    ).encode()
-
-
 class ServiceError(RuntimeError):
     """Raised for invalid service operations (not for injected faults)."""
 
 
+class SimulatedCrash(Exception):
+    """Raised by a :func:`kill_hook` fault hook (drill exit code 3).
+
+    ``args[0]`` is the journal sequence the service died at.  Callers
+    catch it without closing the service, so the next open recovers
+    exactly as after a real process death.
+    """
+
+
+def kill_hook(after_ticks: int) -> Callable[[str, int], None]:
+    """A :attr:`MonitorService.fault_hook` for the kill drill.
+
+    The hook raises :class:`SimulatedCrash` at the
+    ``after_ticks``-th journal append it sees, after the record is
+    durable and before it is scored.
+    """
+    survived = 0
+
+    def _kill(point: str, sequence: int) -> None:
+        nonlocal survived
+        if point != FAULT_AFTER_WAL_APPEND:
+            return
+        survived += 1
+        if survived >= after_ticks:
+            raise SimulatedCrash(sequence)
+
+    return _kill
+
+
 @dataclass(frozen=True)
 class ServiceConfig:
-    """Durability knobs for one service instance.
+    """Everything one service instance is opened with.
+
+    The single-shard ``serve`` run and every fleet shard worker open
+    their :class:`MonitorService` from one of these.  The monitor
+    always drops and counts out-of-order arrivals: a late message
+    raising after its tick was journaled would re-raise on every
+    replay and wedge the data directory.
 
     Attributes:
         data_dir: service state root; holds ``wal/``, ``store/`` and
@@ -120,12 +130,15 @@ class ServiceConfig:
         keep_releases: artifact-store retention depth.
         segment_bytes: WAL segment-rotation threshold.
         fsync: fsync every WAL append (power-loss durability).
-        strict_order: the monitor's out-of-order policy; a durable
-            service defaults to drop-and-count so one late message
-            cannot wedge the tick loop.
         quantized: score through the int8-quantized inference path
             (:mod:`repro.nn.quant`) — faster, lossy, opt-in; replay
             under a quantized service reproduces the quantized run.
+        rca: run a streaming root-cause engine
+            (:class:`repro.rca.RcaEngine`) over the scored ticks.
+        topology_path: fleet topology JSON the engine clusters and
+            attributes over (``None``: per-device incidents).
+        rca_gap: quiet stream seconds that close an incident.
+        adapt: closed-loop drift adaptation knobs (``None``: off).
     """
 
     data_dir: Union[str, pathlib.Path]
@@ -133,12 +146,26 @@ class ServiceConfig:
     keep_releases: int = 3
     segment_bytes: int = DEFAULT_SEGMENT_BYTES
     fsync: bool = False
-    strict_order: bool = False
     quantized: bool = False
+    rca: bool = False
+    topology_path: Optional[Union[str, pathlib.Path]] = None
+    rca_gap: float = DEFAULT_CLUSTER_GAP
+    adapt: Optional[AdaptConfig] = None
 
     def __post_init__(self) -> None:
         if self.checkpoint_every < 1:
             raise ValueError("checkpoint_every must be >= 1")
+
+    def rca_topology(self) -> Optional[FleetTopology]:
+        """The topology RCA runs over, loaded from ``topology_path``.
+
+        ``None`` when RCA is off or runs per-device.  Raises
+        :class:`~repro.topology.TopologyError` for a missing or
+        malformed file.
+        """
+        if not self.rca or self.topology_path is None:
+            return None
+        return FleetTopology.load(self.topology_path)
 
     @property
     def wal_dir(self) -> pathlib.Path:
@@ -315,15 +342,15 @@ class MonitorService:
         self.n_ticks = 0
         self.n_messages = 0
         self.pending_release: Optional[int] = None
-        #: Optional closed-loop drift adaptation controller
-        #: (:class:`repro.runtime.adapt.AdaptationController`); attach
-        #: before :meth:`recover` so replay rebuilds its windows.
-        self.controller: Optional["AdaptationController"] = None
-        #: Optional streaming root-cause engine
-        #: (:class:`repro.rca.RcaEngine`); attach before
-        #: :meth:`recover` so checkpointed incidents restore and
-        #: replayed ticks rebuild the identical incident stream.
-        self.rca: Optional["RcaEngine"] = None
+        #: Closed-loop drift adaptation controller, built by
+        #: :meth:`open` from ``config.adapt``; present before
+        #: :meth:`recover` so replay rebuilds its windows.
+        self.controller: Optional[AdaptationController] = None
+        #: Streaming root-cause engine, built by :meth:`open` when
+        #: ``config.rca`` is set; present before :meth:`recover` so
+        #: checkpointed incidents restore and replayed ticks rebuild
+        #: the identical incident stream.
+        self.rca: Optional[RcaEngine] = None
         self.fault_hook: Optional[Callable[[str, int], None]] = None
         self._encoder = TickEncoder()
         self._closed = False
@@ -331,18 +358,16 @@ class MonitorService:
     # -- construction ---------------------------------------------------
 
     @classmethod
-    def open(
-        cls,
-        config: ServiceConfig,
-        cluster_min_size: int = 2,
-        cluster_max_gap: Optional[float] = None,
-        cooldown: Optional[float] = None,
-    ) -> "MonitorService":
+    def open(cls, config: ServiceConfig) -> "MonitorService":
         """Open a service on the store's current release.
 
         The store must hold at least one release (see
-        :func:`stage_release`); recovery of checkpoint/WAL state is a
-        separate, explicit :meth:`recover` call.
+        :func:`stage_release`).  The RCA engine and the adaptation
+        controller the config asks for are built here, before anyone
+        can call :meth:`recover`; a bad topology file raises
+        :class:`~repro.topology.TopologyError` before the owner lock
+        is taken.  Recovery of checkpoint/WAL state is a separate,
+        explicit :meth:`recover` call.
         """
         store = ArtifactStore(
             config.store_dir, keep_releases=config.keep_releases
@@ -353,21 +378,24 @@ class MonitorService:
                 f"{store.directory} holds no release; publish one "
                 "with stage_release() before opening the service"
             )
+        rca = None
+        if config.rca:
+            rca = RcaEngine(
+                topology=config.rca_topology(),
+                cluster_gap=config.rca_gap,
+            )
         detector, threshold = detector_from_release(store, current)
-        kwargs: Dict[str, object] = {}
-        if cluster_max_gap is not None:
-            kwargs["cluster_max_gap"] = cluster_max_gap
-        if cooldown is not None:
-            kwargs["cooldown"] = cooldown
         monitor = OnlineMonitor(
             detector,
             threshold=threshold,
-            cluster_min_size=cluster_min_size,
-            strict_order=config.strict_order,
+            strict_order=False,
             quantized=config.quantized,
-            **kwargs,
         )
-        return cls(config, monitor, store, current)
+        service = cls(config, monitor, store, current)
+        service.rca = rca
+        if config.adapt is not None:
+            service.controller = AdaptationController(config.adapt)
+        return service
 
     # -- durability -----------------------------------------------------
 
@@ -441,9 +469,8 @@ class MonitorService:
         for record in self.wal.replay(after=self.cursor):
             records += 1
             raw_payload = record.payload
-            # Binary tick records lead with TICK_MAGIC; everything
-            # else (legacy ticks, swap control records) is JSON and
-            # leads with '{'.
+            # Binary tick records lead with TICK_MAGIC; swap control
+            # records are JSON and lead with '{'.
             if raw_payload[:1] == _TICK_MAGIC_BYTE:
                 batch = decode_tick(raw_payload)
                 result = self._score_tick(record.sequence, batch)
@@ -466,22 +493,12 @@ class MonitorService:
                         # journal before the crash; don't re-stage it.
                         self.pending_release = None
                     swaps += 1
-                elif payload["kind"] == _KIND_TICK:
-                    batch = [
-                        message_from_row(raw)
-                        for raw in payload["messages"]
-                    ]
-                    result = self._score_tick(record.sequence, batch)
-                    results.append(result)
-                    if self.controller is not None:
-                        self.controller.after_tick(self, batch, result)
-                    ticks += 1
-                    messages += len(batch)
                 else:
                     raise ServiceError(
-                        "unknown journal record kind "
-                        f"{payload['kind']!r} at sequence "
-                        f"{record.sequence}"
+                        f"journal record at sequence {record.sequence} "
+                        f"is a JSON {payload['kind']!r} record: the "
+                        "journal predates the binary tick codec and "
+                        "this build cannot replay it"
                     )
             else:
                 raise ServiceError(
@@ -779,10 +796,20 @@ class MonitorService:
                 self.rca.flush()
             self.checkpoint_now()
         finally:
-            try:
-                self.wal.close()
-            finally:
-                self.lock.release()
+            self.abandon()
+
+    def abandon(self) -> None:
+        """Release the WAL handle and owner lock, writing nothing.
+
+        For runs that must leave the on-disk state exactly as found:
+        a refused blind restart, a failed recovery, a rollback that
+        did not land.  The next open recovers from the journal.
+        """
+        self._closed = True
+        try:
+            self.wal.close()
+        finally:
+            self.lock.release()
 
     def __enter__(self) -> "MonitorService":
         return self
@@ -799,9 +826,10 @@ __all__ = [
     "ReplayReport",
     "ServiceConfig",
     "ServiceError",
+    "SimulatedCrash",
     "TickResult",
     "detector_from_release",
+    "kill_hook",
     "release_config",
     "stage_release",
-    "tick_payload",
 ]

@@ -218,15 +218,18 @@ class TestWeightFormat:
             assert int(archive[_FORMAT_KEY]) == WEIGHTS_FORMAT_VERSION
             assert str(archive[_DTYPE_KEY]) == "float64"
 
-    def test_legacy_untagged_archive_loads(self, tmp_path):
+    def test_legacy_untagged_archive_rejected(self, tmp_path):
         model = small_classifier()
-        x, y = toy_data(50)
-        model.fit(x, y, SoftmaxCrossEntropy(), Adam(0.01), epochs=1)
         path = str(tmp_path / "legacy.npz")
         np.savez(path, **model.get_weights())  # pre-versioning layout
         fresh = small_classifier(seed=99)
-        fresh.load(path)
-        assert np.allclose(fresh.predict(x), model.predict(x))
+        before = fresh.get_weights()
+        with pytest.raises(ValueError, match="no format version tag"):
+            fresh.load(path)
+        with pytest.raises(ValueError, match="re-save the model"):
+            fresh.load(path, allow_cast=True)
+        for name, value in fresh.get_weights().items():
+            assert np.array_equal(value, before[name])
 
     def test_unknown_format_version_rejected(self, tmp_path):
         from repro.nn.model import _FORMAT_KEY

@@ -8,6 +8,7 @@ student must be rolled back by the probation guard.  Crash tests
 assert the whole loop replays bitwise-identically from the journal.
 """
 
+import dataclasses
 import json
 
 import numpy as np
@@ -123,8 +124,10 @@ def make_service(tmp_path, detector, threshold, name="svc"):
 
 
 def open_with_controller(config, adapt_config):
-    service = MonitorService.open(config)
-    service.controller = AdaptationController(adapt_config)
+    service = MonitorService.open(
+        dataclasses.replace(config, adapt=adapt_config)
+    )
+    assert service.controller.config == adapt_config
     service.recover()
     return service
 

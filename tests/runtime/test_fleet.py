@@ -22,7 +22,9 @@ from repro.runtime.fleet import (
     fleet_has_state,
     load_ring,
 )
+from repro.runtime.adapt import AdaptConfig
 from repro.runtime.ring import HashRing
+from repro.runtime.service import ServiceConfig
 from repro.timeutil import TRACE_START
 from tests.conftest import make_message
 
@@ -73,9 +75,12 @@ def make_fleet(tmp_path, detector, name="fleet", **kwargs):
     config = FleetConfig(
         data_dir=tmp_path / name,
         shards=kwargs.pop("shards", 3),
-        checkpoint_every=kwargs.pop("checkpoint_every", 4),
         scores_out=kwargs.pop(
             "scores_out", str(tmp_path / f"{name}-scores.csv")
+        ),
+        service=ServiceConfig(
+            data_dir=tmp_path / name,
+            checkpoint_every=kwargs.pop("checkpoint_every", 4),
         ),
         **kwargs,
     )
@@ -107,6 +112,40 @@ class TestFleetConfig:
             FleetConfig(data_dir=tmp_path, kill_shard=1)
         with pytest.raises(ValueError, match="together"):
             FleetConfig(data_dir=tmp_path, kill_after_ticks=3)
+
+    def test_default_service_settings(self, tmp_path):
+        config = FleetConfig(data_dir=tmp_path, shards=3)
+        assert config.service == ServiceConfig(data_dir=tmp_path)
+        shard = config.shard_config(2)
+        assert shard.data_dir == config.shard_dir(2)
+        assert shard.checkpoint_every == config.service.checkpoint_every
+
+    def test_shard_config_carries_service_settings(self, tmp_path):
+        config = FleetConfig(
+            data_dir=tmp_path,
+            service=ServiceConfig(
+                data_dir=str(tmp_path), checkpoint_every=7, rca=True
+            ),
+        )
+        shard = config.shard_config(1)
+        assert (shard.checkpoint_every, shard.rca) == (7, True)
+        assert shard.data_dir == config.shard_dir(1)
+
+    def test_rejects_mismatched_service_data_dir(self, tmp_path):
+        with pytest.raises(ValueError, match="service.data_dir"):
+            FleetConfig(
+                data_dir=tmp_path / "fleet",
+                service=ServiceConfig(data_dir=tmp_path / "other"),
+            )
+
+    def test_rejects_service_adapt(self, tmp_path):
+        with pytest.raises(ValueError, match="single-service"):
+            FleetConfig(
+                data_dir=tmp_path,
+                service=ServiceConfig(
+                    data_dir=tmp_path, adapt=AdaptConfig()
+                ),
+            )
 
     def test_shard_paths(self, tmp_path):
         config = FleetConfig(
@@ -340,7 +379,7 @@ class TestMembership:
 
         store = ArtifactStore(
             config.shard_config(2).store_dir,
-            keep_releases=config.keep_releases,
+            keep_releases=config.service.keep_releases,
         )
         stage_release(store, detector, float("inf"))
         with telemetry.use(telemetry.MetricsRegistry()):

@@ -483,17 +483,16 @@ class TestHotSwap:
 
 
 class TestJournalCompat:
-    """The binary tick codec must coexist with legacy JSON journals."""
+    """Only binary tick records and JSON swap records replay; a JSON
+    tick journal from before the binary codec is refused."""
 
-    def test_mixed_binary_and_json_journal_replays(
+    def test_legacy_json_tick_journal_refused(
         self, tmp_path, detector, threshold, ticks
     ):
-        from repro.runtime.service import tick_payload
+        from repro.logs.message import message_to_row
 
-        # checkpoint_every high + no close(): a clean close writes a
-        # final checkpoint, which would advance the cursor past the
-        # binary records.  Dying uncleanly keeps all four tick records
-        # in replay range.
+        # checkpoint_every high + no close(): the records stay in
+        # replay range, as after a crash.
         config = make_service(
             tmp_path, detector, threshold, checkpoint_every=100
         )
@@ -501,31 +500,26 @@ class TestJournalCompat:
         service.recover()
         for tick in ticks[:2]:  # binary records via the live path
             service.process_tick(tick)
-        # Hand-write two more ticks the way earlier releases journaled
-        # them: JSON row payloads.
-        service.wal.append(4, tick_payload(ticks[2]))
-        service.wal.append(5, tick_payload(ticks[3]))
-        service.wal.close()  # the process "dies" without a checkpoint
+        # The per-message JSON tick record earlier releases journaled.
+        legacy = {
+            "kind": "tick",
+            "messages": [message_to_row(m) for m in ticks[2]],
+        }
+        service.wal.append(4, json.dumps(legacy).encode())
+        service.abandon()
 
         revived = MonitorService.open(config)
-        report = revived.recover()
-        revived.close()
-        assert report.ticks_replayed == 4
-        assert report.messages_replayed == sum(
-            len(t) for t in ticks[:4]
-        )
-
-        reference = make_service(
-            tmp_path, detector, threshold, name="reference"
-        )
-        with MonitorService.open(reference) as ref:
-            ref.recover()
-            expected = [ref.process_tick(t) for t in ticks[:4]]
-        for before, after in zip(expected, report.results):
-            assert np.array_equal(
-                before.scores, after.scores, equal_nan=True
-            )
-            assert before.warnings == after.warnings
+        try:
+            with pytest.raises(
+                ServiceError,
+                match="sequence 4 .*predates the binary tick codec",
+            ):
+                revived.recover()
+        finally:
+            revived.abandon()
+        # Refusal wrote nothing: no checkpoint, lock released.
+        assert not config.checkpoint_path.exists()
+        assert not config.lock_path.exists()
 
     def test_unrecognized_journal_record_refused(
         self, tmp_path, detector, threshold, ticks

@@ -193,6 +193,24 @@ class TestServe:
             "serve", "--data-dir", str(tmp_path / "svc"),
         ]) == 2
 
+    @pytest.mark.parametrize(
+        "flags, message",
+        [
+            (["--checkpoint-every", "0"], "checkpoint_every"),
+            (
+                ["--auto-adapt", "--drift-threshold", "1.5"],
+                "drift_threshold",
+            ),
+        ],
+    )
+    def test_invalid_settings_exit_2(
+        self, workflow, tmp_path, capsys, flags, message
+    ):
+        data = tmp_path / "svc"
+        assert self.serve(workflow, data, *flags) == 2
+        assert message in capsys.readouterr().err
+        assert not data.exists()
+
     def test_crash_replay_matches_uninterrupted(
         self, workflow, tmp_path, capsys
     ):
@@ -218,6 +236,37 @@ class TestServe:
         assert self.serve(workflow, data, "--max-ticks", "3") == 0
         assert self.serve(workflow, data) == 2
         assert "--replay" in capsys.readouterr().err
+
+    def test_legacy_json_journal_replay_refused(
+        self, workflow, tmp_path, capsys
+    ):
+        from repro.logs.message import message_to_row
+        from repro.runtime.service import ServiceConfig
+        from repro.runtime.wal import WriteAheadLog
+
+        data = tmp_path / "svc"
+        assert self.serve(
+            workflow, data, "--kill-after-ticks", "3"
+        ) == 3
+        # Append the per-message JSON tick record that journals from
+        # before the binary tick codec hold.
+        config = ServiceConfig(data_dir=data)
+        _, messages, _ = read_trace(workflow["trace"])
+        rows = [message_to_row(m) for m in messages["vpe00"][:4]]
+        with WriteAheadLog(config.wal_dir) as wal:
+            sequence = wal.last_sequence + 1
+            wal.append(
+                sequence,
+                json.dumps({"kind": "tick", "messages": rows}).encode(),
+            )
+        capsys.readouterr()
+        for _ in range(2):  # the refusal leaves the state as found
+            assert self.serve(workflow, data, "--replay") == 2
+            err = capsys.readouterr().err
+            assert f"sequence {sequence}" in err
+            assert "predates the binary tick codec" in err
+            assert not config.checkpoint_path.exists()
+            assert not config.lock_path.exists()
 
     def test_resume_continues_feed(self, workflow, tmp_path):
         data = tmp_path / "svc"
@@ -559,6 +608,66 @@ class TestServeRca:
                 "circuit", "site", "cable", "software", "device",
             }
             assert 0.0 < float(fields[9]) <= 1.0
+
+    @pytest.mark.parametrize("shards", ["1", "2"])
+    def test_missing_topology_fails_before_any_state(
+        self, rca_workflow, tmp_path, capsys, shards
+    ):
+        data = tmp_path / "svc"
+        incidents = tmp_path / "incidents.csv"
+        assert main([
+            "serve", "--data-dir", str(data),
+            "--trace", str(rca_workflow["trace"]),
+            "--model", str(rca_workflow["model"]),
+            "--rca", "--topology", str(tmp_path / "missing.json"),
+            "--shards", shards, *self.SERVE_ARGS,
+        ]) == 2
+        assert "cannot read topology" in capsys.readouterr().err
+        # Nothing was journaled and no lock is left behind: the same
+        # data dir serves with a valid topology, no --replay needed.
+        assert self.serve(
+            rca_workflow, data, incidents, "--shards", shards,
+        ) == 0
+
+    def test_fleet_kill_replay_incident_and_score_parity(
+        self, rca_workflow, tmp_path, capsys
+    ):
+        """``serve --shards 2 --rca``: a killed-and-replayed fleet's
+        shard incident and score files sort -u to exactly the
+        uninterrupted fleet's."""
+        from repro.runtime.ring import HashRing
+
+        _, messages, _ = read_trace(rca_workflow["trace"])
+        ring = HashRing(shards=(0, 1))
+        assert any(ring.assign(vpe) == 1 for vpe in messages), (
+            "the drill victim must own devices"
+        )
+
+        def run(name, *extra):
+            return self.serve(
+                rca_workflow, tmp_path / name,
+                tmp_path / f"{name}-incidents.csv",
+                "--shards", "2",
+                "--scores-out", str(tmp_path / f"{name}-scores.csv"),
+                *extra,
+            )
+
+        def rows(name, sink):
+            base = tmp_path / f"{name}-{sink}.csv"
+            merged = set()
+            for path in base.parent.glob(base.name + ".shard*"):
+                merged.update(path.read_text().splitlines())
+            return merged
+
+        assert run("a") == 0
+        assert run("b", "--kill-shard", "1", "--after-ticks", "12") == 3
+        assert "shards died mid-drain" in capsys.readouterr().err
+        assert run("b", "--replay") == 0
+        assert rows("a", "incidents") == rows("b", "incidents")
+        assert rows("a", "scores") == rows("b", "scores")
+        assert len(rows("a", "incidents")) >= 3
+        shards = {row.split(",")[0] for row in rows("a", "incidents")}
+        assert shards == {"0", "1"}
 
     def test_fleet_rca_writes_shard_incident_files(
         self, rca_workflow, tmp_path
